@@ -182,9 +182,12 @@ func (c *Consumer[T]) TryGetBatch(dst []*T) int {
 	return c.h.TryGetBatch(dst)
 }
 
-// GetWait retrieves a task, waiting through empty periods — bounded
-// spin→yield→sleep backoff, not a hot spin — until one arrives or stop is
-// closed. Panics if the handle was closed.
+// GetWait retrieves a task, waiting through empty periods until one
+// arrives or stop is closed: a short spin→yield phase, then a park that the
+// next Put, PutBatch, TryPut, TryPutBatch or lane Flush wakes, as do
+// membership changes and closing stop. Anything else that makes tasks
+// reachable is seen within 1ms, the park's fallback timer. Panics if the
+// handle was closed.
 func (c *Consumer[T]) GetWait(stop <-chan struct{}) (t *T, ok bool) {
 	if !c.checkOpen() {
 		return nil, false
@@ -195,8 +198,8 @@ func (c *Consumer[T]) GetWait(stop <-chan struct{}) (t *T, ok bool) {
 // GetContext retrieves a task, waiting like GetWait until one arrives or
 // ctx is cancelled (deadlines count). On cancellation it returns ctx.Err();
 // if the consumer is declared crashed by KillConsumer while waiting it
-// returns ErrKilled. A parked waiter observes cancellation within the
-// backoff's maximum sleep (1ms). Panics if the handle was closed.
+// returns ErrKilled. A parked waiter observes cancellation at once. Panics
+// if the handle was closed.
 func (c *Consumer[T]) GetContext(ctx context.Context) (*T, error) {
 	if !c.checkOpen() {
 		return nil, ErrKilled

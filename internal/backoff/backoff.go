@@ -1,6 +1,5 @@
 // Package backoff provides the bounded spin→yield→sleep escalation used by
-// every blocking retry loop in the pool (framework Get/GetWait/GetContext,
-// the executor's worker loop, the workload harness).
+// the pool's retry loops.
 //
 // A raw `for { try() }` loop — even one that sprinkles runtime.Gosched() —
 // is a livelock risk: under GOMAXPROCS=1 a spinner that never sleeps can
@@ -23,6 +22,14 @@
 // second. Parks are reported so callers can feed a telemetry counter
 // (salsa_backoff_parks_total): a high park rate is the "consumers outrun
 // producers" pressure signal.
+//
+// Which loops reach the timed sleeps: the producer-side saturation waits
+// (executor SubmitContext, the admission layer's AdmitQueue policy) and
+// the workload and loadgen harnesses. The framework's blocking retrievals
+// (GetWait/GetContext, and so the executor's workers) spin and yield here
+// but park on a producer's wake signal instead: they stop at Parking and
+// block on their own channel, keeping DefaultMaxSleep only as a fallback
+// timer. Get/GetBatch are YieldOnly and never park.
 package backoff
 
 import (
@@ -61,8 +68,7 @@ type Backoff struct {
 	// checkEmpty refutes emptiness, and a millisecond sleep there would
 	// turn a linearizable-emptiness probe into a latency spike — while
 	// the yields still fix the GOMAXPROCS=1 livelock. Explicitly
-	// blocking waits (GetWait/GetContext, executor workers) leave it
-	// false and park.
+	// blocking waits leave it false and park (see the package doc).
 	YieldOnly bool
 
 	attempts int
@@ -180,6 +186,17 @@ func (b *Backoff) Pause() (parked bool) {
 		b.parks++
 		return true
 	}
+}
+
+// Parking reports whether the next Pause would park in a timed sleep that no
+// PauseObserver intercepts. A waiter with a wake signal of its own
+// (framework GetWait/GetContext) checks it before each Pause and, once it
+// holds, blocks on that signal instead of a timed sleep. While an observer
+// is registered it stays false, so every pause still goes through the
+// observer. It advances no state.
+func (b *Backoff) Parking() bool {
+	b.defaults()
+	return !b.YieldOnly && b.attempts >= b.Spins+b.Yields && pauseObs.Load() == nil
 }
 
 // Reset returns the backoff to the spin phase. Call after the awaited

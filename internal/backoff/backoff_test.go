@@ -118,3 +118,31 @@ func TestSingleProcProgress(t *testing.T) {
 		b.Pause()
 	}
 }
+
+// TestParkingMarksTheSleepPhase: Parking turns true exactly where Pause
+// would start sleeping, never under YieldOnly, and stays false while an
+// observer intercepts pauses.
+func TestParkingMarksTheSleepPhase(t *testing.T) {
+	b := &Backoff{Spins: 2, Yields: 1}
+	for i := 0; i < 3; i++ {
+		if b.Parking() {
+			t.Fatalf("Parking before spin/yield attempt %d", i+1)
+		}
+		b.Pause()
+	}
+	if !b.Parking() {
+		t.Fatal("Parking false once the next Pause would sleep")
+	}
+	y := &Backoff{Spins: 1, Yields: 1, YieldOnly: true}
+	for i := 0; i < 5; i++ {
+		y.Pause()
+	}
+	if y.Parking() {
+		t.Fatal("Parking true under YieldOnly")
+	}
+	SetPauseObserver(func(PauseInfo) {})
+	defer SetPauseObserver(nil)
+	if b.Parking() {
+		t.Fatal("Parking true with a PauseObserver registered")
+	}
+}

@@ -195,13 +195,13 @@ func TestConsumeBatchVsStealRace(t *testing.T) {
 			seen[t2.id]++
 		}
 		var ownerGot, thiefGot []*task
+		ownerCS, thiefCS := cons(0), cons(1)
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			cs := cons(0)
 			dst := make([]*task, 7) // odd size: runs end mid-chunk
 			for {
-				n := owner.ConsumeBatch(cs, dst)
+				n := owner.ConsumeBatch(ownerCS, dst)
 				if n == 0 {
 					break
 				}
@@ -210,14 +210,13 @@ func TestConsumeBatchVsStealRace(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			cs := cons(1)
 			dst := make([]*task, 7)
 			for i := 0; i < 6; i++ {
-				if t2 := thief.Steal(cs, owner); t2 != nil {
+				if t2 := thief.Steal(thiefCS, owner); t2 != nil {
 					thiefGot = append(thiefGot, t2)
 					// Drain what the steal migrated.
 					for {
-						n := thief.ConsumeBatch(cs, dst)
+						n := thief.ConsumeBatch(thiefCS, dst)
 						if n == 0 {
 							break
 						}
@@ -227,6 +226,18 @@ func TestConsumeBatchVsStealRace(t *testing.T) {
 			}
 		}()
 		wg.Wait()
+		// "Lost" means absent after both pools are drained at quiescence.
+		// The racing loops above may stop while tasks remain: each quits
+		// on an empty answer, and a Steal that migrates a chunk but loses
+		// its first slot to the owner returns nil, leaving the chunk's rest
+		// in the thief's pool.
+		dst := make([]*task, 7)
+		for n := owner.ConsumeBatch(ownerCS, dst); n > 0; n = owner.ConsumeBatch(ownerCS, dst) {
+			ownerGot = append(ownerGot, dst[:n]...)
+		}
+		for n := thief.ConsumeBatch(thiefCS, dst); n > 0; n = thief.ConsumeBatch(thiefCS, dst) {
+			thiefGot = append(thiefGot, dst[:n]...)
+		}
 		for _, t2 := range ownerGot {
 			record(t2, "owner")
 		}

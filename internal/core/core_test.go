@@ -7,7 +7,13 @@ import (
 	"salsa/internal/scpool"
 )
 
-type task struct{ id int }
+// task is 16 bytes so that it is not tiny-allocated: the lifecycle tests
+// watch tasks through weak pointers, and a tiny object stays alive while
+// any other object sharing its 16-byte block does.
+type task struct {
+	id int
+	_  [8]byte
+}
 
 func newFamily(t *testing.T, chunkSize, consumers int) *Shared[task] {
 	t.Helper()

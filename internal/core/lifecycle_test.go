@@ -249,11 +249,17 @@ func TestShedClearsTaskPointers(t *testing.T) {
 	}
 	// Post-drain the slots hold TAKEN sentinels, not user tasks; plant a
 	// live pointer the way an after-announce crash would have.
-	w := plantTask(ch, 1)
+	plantTask(ch, 1)
 	if !s.shedChunk(s.consumerScratch(cs).rec, ch) {
 		t.Fatal("shedChunk refused with no other records active")
 	}
-	if !collected(w) {
-		t.Error("task pointer survived the shed into the spare tier")
+	// The slot array itself is checked, not the task's collection: the
+	// spare tier is a sync.Pool, which drops its contents within two GC
+	// cycles, so a weak pointer would be collected even from an uncleared
+	// array.
+	for i := range ch.tasks {
+		if ch.tasks[i].p.Load() != nil {
+			t.Errorf("slot %d still pins a task after the shed into the spare tier", i)
+		}
 	}
 }

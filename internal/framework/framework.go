@@ -155,6 +155,13 @@ type Framework[T any] struct {
 	// sparesDrained counts spare chunks moved out of departing pools
 	// into survivors (telemetry; written only under mu).
 	sparesDrained atomic.Int64
+
+	// sleepers counts consumers parked in a blocking retrieval (wake.go).
+	// Every successful put loads it, so it gets its own cache line: park
+	// and wake traffic must not evict the epoch pointer puts also read.
+	_        [64]byte
+	sleepers atomic.Int32
+	_        [60]byte
 }
 
 // New validates cfg, builds one SCPool per consumer and pre-wires all
@@ -216,15 +223,20 @@ func New[T any](cfg Config[T]) (*Framework[T], error) {
 
 	fw.consumers = make([]*Consumer[T], cfg.Consumers)
 	for i := 0; i < cfg.Consumers; i++ {
-		co := &Consumer[T]{fw: fw, myPool: pools[i]}
-		co.state.ID = i
-		co.state.FID = cfg.FlightBase + i
-		co.state.Node = pl.ConsumerNode(i)
-		co.state.Tracer = cfg.Tracer
-		fw.consumers[i] = co
+		fw.consumers[i] = fw.newConsumer(i, pl.ConsumerNode(i), pools[i])
 	}
 	fw.buildEpoch(reg.Epoch(), pl, pools, make([]bool, cfg.Consumers))
 	return fw, nil
+}
+
+func (fw *Framework[T]) newConsumer(id, node int, pool scpool.SCPool[T]) *Consumer[T] {
+	co := &Consumer[T]{fw: fw, myPool: pool}
+	co.wake = make(chan struct{}, 1)
+	co.state.ID = id
+	co.state.FID = fw.cfg.FlightBase + id
+	co.state.Node = node
+	co.state.Tracer = fw.cfg.Tracer
+	return co
 }
 
 // Producer returns producer i's handle. Each handle must be driven by one
@@ -308,11 +320,16 @@ func (p *Producer[T]) Put(t *T) {
 	}
 	if !p.fw.cfg.Latency { // fast path: one predictable branch
 		p.put(t)
-		return
+	} else {
+		start := time.Now()
+		p.put(t)
+		p.state.Ops.PutLatency.ObserveSince(start)
 	}
-	start := time.Now()
-	p.put(t)
-	p.state.Ops.PutLatency.ObserveSince(start)
+	// The producer's half of the sleeper handshake (wake.go), spelled at
+	// each put site so the nobody-parked case is one inlined load.
+	if p.fw.sleepers.Load() != 0 {
+		p.wakeParked(1)
+	}
 }
 
 // Flush publishes every task buffered in this handle's lane into the pool
@@ -343,6 +360,9 @@ func (p *Producer[T]) Flush() {
 		start := time.Now()
 		p.putBatch(p.laneBuf[:n])
 		p.state.Ops.PutLatency.ObserveSince(start)
+	}
+	if p.fw.sleepers.Load() != 0 {
+		p.wakeParked(n)
 	}
 	// Drop the scratch references: the pool owns the run now, and a
 	// retained pointer would keep a long-consumed task reachable.
@@ -411,11 +431,14 @@ func (p *Producer[T]) PutBatch(ts []*T) {
 	p.state.Ops.PutBatchSize.Observe(int64(len(ts)))
 	if !p.fw.cfg.Latency {
 		p.putBatch(ts)
-		return
+	} else {
+		start := time.Now()
+		p.putBatch(ts)
+		p.state.Ops.PutLatency.ObserveSince(start)
 	}
-	start := time.Now()
-	p.putBatch(ts)
-	p.state.Ops.PutLatency.ObserveSince(start)
+	if p.fw.sleepers.Load() != 0 {
+		p.wakeParked(len(ts))
+	}
 }
 
 func (p *Producer[T]) putBatch(ts []*T) {
@@ -464,18 +487,21 @@ func (p *Producer[T]) putBatch(ts []*T) {
 // the caller keeps ownership of t and decides whether to retry, shed, or
 // block. Rejections are counted in SaturatedPuts.
 func (p *Producer[T]) TryPut(t *T) bool {
+	if !p.tryPut(t) {
+		p.state.Ops.SaturatedPuts.Inc()
+		return false
+	}
+	if p.fw.sleepers.Load() != 0 {
+		p.wakeParked(1)
+	}
+	return true
+}
+
+func (p *Producer[T]) tryPut(t *T) bool {
 	tr := p.state.Tracer
 	access := p.fw.epoch.Load().prodAccess[p.state.ID]
 	if p.fw.cfg.DisableBalancing {
-		if access[0].Produce(&p.state, t) {
-			return true
-		}
-		if tr != nil {
-			tr.OnProduceFail(telemetry.ProduceEvent{
-				Producer: p.state.ID, Node: p.state.Node, Pool: access[0].OwnerID()})
-		}
-		p.state.Ops.SaturatedPuts.Inc()
-		return false
+		access = access[:1]
 	}
 	for _, pool := range access {
 		if pool.Produce(&p.state, t) {
@@ -486,7 +512,6 @@ func (p *Producer[T]) TryPut(t *T) bool {
 				Producer: p.state.ID, Node: p.state.Node, Pool: pool.OwnerID()})
 		}
 	}
-	p.state.Ops.SaturatedPuts.Inc()
 	return false
 }
 
@@ -498,32 +523,34 @@ func (p *Producer[T]) TryPutBatch(ts []*T) int {
 	if len(ts) == 0 {
 		return 0
 	}
+	n := p.tryPutBatch(ts)
+	if n < len(ts) {
+		p.state.Ops.SaturatedPuts.Inc()
+	}
+	if n > 0 && p.fw.sleepers.Load() != 0 {
+		p.wakeParked(n)
+	}
+	return n
+}
+
+func (p *Producer[T]) tryPutBatch(ts []*T) int {
 	tr := p.state.Tracer
 	access := p.fw.epoch.Load().prodAccess[p.state.ID]
 	if p.fw.cfg.DisableBalancing {
-		n := scpool.ProduceBatch(access[0], &p.state, ts)
-		if n < len(ts) {
-			if tr != nil {
-				tr.OnProduceFail(telemetry.ProduceEvent{
-					Producer: p.state.ID, Node: p.state.Node, Pool: access[0].OwnerID()})
-			}
-			p.state.Ops.SaturatedPuts.Inc()
-		}
-		return n
+		access = access[:1]
 	}
 	rem := ts
 	for _, pool := range access {
 		n := scpool.ProduceBatch(pool, &p.state, rem)
 		rem = rem[n:]
 		if len(rem) == 0 {
-			return len(ts)
+			break
 		}
 		if tr != nil {
 			tr.OnProduceFail(telemetry.ProduceEvent{
 				Producer: p.state.ID, Node: p.state.Node, Pool: pool.OwnerID()})
 		}
 	}
-	p.state.Ops.SaturatedPuts.Inc()
 	return len(ts) - len(rem)
 }
 
@@ -564,6 +591,8 @@ type Consumer[T any] struct {
 	// steal-order state (single-owner, like the handle itself)
 	rrNext int
 	rng    uint64
+
+	parker // the park phase of GetWait/GetContext (wake.go)
 }
 
 // refresh returns the current epoch, rebuilding the cached victim list
@@ -661,42 +690,35 @@ func (c *Consumer[T]) TryGet() (*T, bool) {
 	return t, ok
 }
 
-// GetWait retrieves a task, waiting through empty periods with bounded
-// spin→yield→sleep backoff until a task arrives or stop is closed. A parked
-// waiter wakes within the backoff's max sleep (1ms) of stop closing.
+// GetWait retrieves a task, waiting through empty periods until one arrives
+// or stop is closed. After a bounded spin→yield phase the waiter parks until
+// a producer's put, a membership change or stop wakes it; anything else
+// that makes tasks reachable is seen within the fallback timer
+// (backoff.DefaultMaxSleep, 1ms).
 func (c *Consumer[T]) GetWait(stop <-chan struct{}) (*T, bool) {
-	c.checkLive()
-	if t, ok := c.tryOnce(); ok {
-		return t, true // bounded first pass: no watchdog marker (see get)
-	}
-	var bo backoff.Backoff
-	flight.BeginOp(c.state.FID)
-	defer flight.EndOp(c.state.FID)
-	for {
-		if c.killed.Load() {
-			return nil, false // crashed mid-retrieval: unwind as empty
-		}
-		select {
-		case <-stop:
-			return nil, false
-		default:
-		}
-		if bo.Pause() {
-			c.state.Ops.Parks.Inc()
-			flight.RecordC(c.state.FID, flight.KPark, 0, 0, 0)
-		}
-		if t, ok := c.tryOnce(); ok {
-			return t, true
-		}
-	}
+	t, err := c.wait(stop)
+	return t, err == nil
 }
 
 // GetContext retrieves a task, waiting like GetWait until one arrives or
 // ctx is cancelled (its deadline counts). Returns ctx.Err() on
-// cancellation and ErrKilled if the consumer is declared crashed while
-// waiting. A parked waiter observes cancellation within the backoff's max
-// sleep (1ms).
+// cancellation, observed at once even while parked, and ErrKilled if the
+// consumer is declared crashed while waiting.
 func (c *Consumer[T]) GetContext(ctx context.Context) (*T, error) {
+	t, err := c.wait(ctx.Done())
+	if err == errDone {
+		return nil, ctx.Err()
+	}
+	return t, err
+}
+
+// errDone is wait's report that its done channel closed.
+var errDone = errors.New("framework: wait done")
+
+// wait is the loop behind GetWait and GetContext: the paper's non-blocking
+// get retried until a task arrives, done closes (errDone) or the consumer
+// is killed (ErrKilled).
+func (c *Consumer[T]) wait(done <-chan struct{}) (*T, error) {
 	c.checkLive()
 	if t, ok := c.tryOnce(); ok {
 		return t, nil // bounded first pass: no watchdog marker (see get)
@@ -706,14 +728,25 @@ func (c *Consumer[T]) GetContext(ctx context.Context) (*T, error) {
 	defer flight.EndOp(c.state.FID)
 	for {
 		if c.killed.Load() {
-			return nil, ErrKilled
+			return nil, ErrKilled // crashed mid-retrieval: unwind as empty
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		select {
+		case <-done:
+			return nil, errDone
+		default:
 		}
-		if bo.Pause() {
+		// Past the spin and yield phases the waiter parks on its wake
+		// channel; with a PauseObserver registered Parking stays false
+		// and the observer takes every pause, as the DST controller needs.
+		parking := bo.Parking()
+		if parking || bo.Pause() {
 			c.state.Ops.Parks.Inc()
 			flight.RecordC(c.state.FID, flight.KPark, 0, 0, 0)
+		}
+		if parking {
+			if t, ok := c.park(done); ok {
+				return t, nil
+			}
 		}
 		if t, ok := c.tryOnce(); ok {
 			return t, nil

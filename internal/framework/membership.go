@@ -66,10 +66,16 @@ type epoch[T any] struct {
 	// live pools sorted nearest-first from the producer's core. Forced
 	// puts fall back to prodAccess[p][0].
 	prodAccess [][]scpool.SCPool[T]
+
+	// prodWake[p] holds the consumers of prodAccess[p], in the same
+	// order: the nearest-first list a put walks to wake a parked one.
+	prodWake [][]*Consumer[T]
 }
 
 // buildEpoch assembles and publishes the epoch for the given membership
-// state. Caller holds fw.mu.
+// state, then wakes every parked consumer so it looks at the new view.
+// Caller holds fw.mu, and fw.consumers already holds every registered
+// handle.
 func (fw *Framework[T]) buildEpoch(version uint64, pl *topology.Placement,
 	pools []scpool.SCPool[T], abandoned []bool) *epoch[T] {
 
@@ -80,15 +86,19 @@ func (fw *Framework[T]) buildEpoch(version uint64, pl *topology.Placement,
 		}
 	}
 	prodAccess := make([][]scpool.SCPool[T], len(fw.producers))
+	prodWake := make([][]*Consumer[T], len(fw.producers))
 	for i := range prodAccess {
 		order := pl.ProducerAccessList(i)
 		access := make([]scpool.SCPool[T], 0, len(live))
+		wake := make([]*Consumer[T], 0, len(live))
 		for _, c := range order {
 			if !abandoned[c] {
 				access = append(access, pools[c])
+				wake = append(wake, fw.consumers[c])
 			}
 		}
 		prodAccess[i] = access
+		prodWake[i] = wake
 	}
 	ep := &epoch[T]{
 		version:    version,
@@ -97,8 +107,10 @@ func (fw *Framework[T]) buildEpoch(version uint64, pl *topology.Placement,
 		abandoned:  abandoned,
 		live:       live,
 		prodAccess: prodAccess,
+		prodWake:   prodWake,
 	}
 	fw.epoch.Store(ep)
+	fw.wakeAll()
 	return ep
 }
 
@@ -162,11 +174,7 @@ func (fw *Framework[T]) AddConsumer() (*Consumer[T], error) {
 		panic(fmt.Sprintf("framework: registry id %d != expected %d", regID, id))
 	}
 
-	co := &Consumer[T]{fw: fw, myPool: pool}
-	co.state.ID = id
-	co.state.FID = fw.cfg.FlightBase + id
-	co.state.Node = node
-	co.state.Tracer = fw.cfg.Tracer
+	co := fw.newConsumer(id, node, pool)
 	fw.consumers = append(fw.consumers, co)
 
 	pools := append(append([]scpool.SCPool[T](nil), ep.pools...), pool)

@@ -123,7 +123,7 @@ type Ops struct {
 
 	// Parks counts the times a blocking retrieval (GetWait/GetContext and
 	// the executor's worker loop) escalated past spinning and yielding
-	// into a timed sleep — the bounded-backoff pressure signal. A high
+	// into a park — the bounded-backoff pressure signal. A high
 	// park rate means consumers are outrunning producers. Plain Get and
 	// GetBatch never park: their retries cap at the yield phase.
 	Parks Counter
@@ -213,7 +213,7 @@ func (o *Ops) Snapshot() Snapshot {
 		Steals: o.Steals.Load(), StealAttempts: o.StealAttempts.Load(),
 		ReclaimedChunks: o.ReclaimedChunks.Load(),
 		RescueSteals:    o.RescueSteals.Load(), RescueRescans: o.RescueRescans.Load(),
-		ChunkAllocs:     o.ChunkAllocs.Load(), ChunkReuses: o.ChunkReuses.Load(),
+		ChunkAllocs: o.ChunkAllocs.Load(), ChunkReuses: o.ChunkReuses.Load(),
 		ProduceFull: o.ProduceFull.Load(), ForcePuts: o.ForcePuts.Load(),
 		ForceExpands:    o.ForceExpands.Load(),
 		RemoteTransfers: o.RemoteTransfers.Load(), LocalTransfers: o.LocalTransfers.Load(),

@@ -357,11 +357,18 @@ func buildTopology(cfg Config) (*topology.Topology, error) {
 	if cfg.NUMANodes > 0 || cfg.CoresPerNode > 0 {
 		return nil, fmt.Errorf("salsa: NUMANodes and CoresPerNode must be set together")
 	}
-	if t, err := topology.Discover(); err == nil {
+	if t, err := discoverTopology(); err == nil {
 		return t, nil
 	}
 	return topology.UMA(cfg.Producers + cfg.Consumers), nil
 }
+
+// discoverTopology reads the machine's sysfs topology once per process
+// (about 44µs of open/read syscalls, half of a small pool's construction).
+// Every pool built without a synthetic topology shares the result, so it is
+// read-only: placement and membership derive new values from it and never
+// write to it.
+var discoverTopology = sync.OnceValues(topology.Discover)
 
 // poolFactory builds the substrate factory. Every substrate is sized for
 // Config.MaxConsumers consumer ids (not the initial Consumers count):
